@@ -19,8 +19,10 @@ one-``d(x, y)``-call-at-a-time evaluation:
    with cores; on a single-core runner the bar is only "does not
    collapse".
 
-Each run appends its rows to ``benchmarks/BENCH_kernels.json`` (newest
-last, capped) so the speedup trajectory accumulates across revisions.
+Each run above quick scale appends its rows to
+``benchmarks/BENCH_kernels.json`` (newest last, capped) so the speedup
+trajectory accumulates across revisions; quick-scale smoke runs leave the
+tracked file untouched.
 """
 
 from __future__ import annotations
@@ -204,8 +206,11 @@ def append_kernels_trajectory(scale_name: str, sections) -> None:
 
     The file is a JSON list of records, newest last, capped at
     ``TRAJECTORY_KEEP`` so the speedup curve across revisions stays
-    readable without growing unboundedly.
+    readable without growing unboundedly.  Quick-scale runs are smoke
+    tests, not measurements, and are not recorded.
     """
+    if scale_name == "quick":
+        return
     records = []
     if KERNELS_TRAJECTORY.exists():
         try:

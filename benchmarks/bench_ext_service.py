@@ -16,13 +16,15 @@ QueryService` wrapped around one shared M-tree:
    queue sheds the excess in microseconds and keeps the accepted p99
    within the acceptance bar of 3x the unloaded p99.
 3. **Sharded scatter-gather scaling** — the same workload routed by
-   :class:`repro.cluster.Router` across N shards.  Each run appends its
-   rows to ``benchmarks/BENCH_cluster.json`` so the throughput/pruning
-   curve accumulates a trajectory across revisions.
+   :class:`repro.cluster.Router` across N shards.  Each run above quick
+   scale appends its rows to ``benchmarks/BENCH_cluster.json`` so the
+   throughput/pruning curve accumulates a trajectory across revisions.
 4. **Sustained insert rate** — objects streamed through
    :class:`repro.ingest.IngestService` (WAL append + clone-then-publish
    apply) per fsync policy, plus checkpoint and WAL-replay recovery
    timing.  Rows accumulate in ``benchmarks/BENCH_ingest.json``.
+
+Quick-scale smoke runs record nothing in either trajectory file.
 """
 
 from __future__ import annotations
@@ -240,8 +242,11 @@ def _append_trajectory(path: Path, scale_name: str, rows) -> None:
 
     The file is a JSON list of records, newest last, capped at
     ``TRAJECTORY_KEEP`` so the perf curve across revisions stays
-    readable without growing unboundedly.
+    readable without growing unboundedly.  Quick-scale runs are smoke
+    tests, not measurements, and are not recorded.
     """
+    if scale_name == "quick":
+        return
     records = []
     if path.exists():
         try:

@@ -331,9 +331,11 @@ def levenshtein_one_to_many_bounded(
     """Edit distances where ``<= bound``, ``inf`` elsewhere.
 
     The native backend runs a banded two-row DP that abandons a
-    candidate as soon as every band cell exceeds the bound — the range
-    query's answer (and the ``dists_computed`` accounting, which counts
-    *evaluations*, not full DPs) is unchanged.
+    candidate as soon as every band cell exceeds the bound; the numpy
+    backend skips the DP for candidates whose length differs from the
+    query's by more than the bound.  The range query's answer (and the
+    ``dists_computed`` accounting, which counts *evaluations*, not full
+    DPs) is unchanged.
     """
     if math.isinf(bound):
         return levenshtein_one_to_many(query, ys)
@@ -343,5 +345,7 @@ def levenshtein_one_to_many_bounded(
     backend = active_backend()
     if backend == "native" and native is not None:
         return native.levenshtein_one_to_many_bounded(query, ys, ibound)
+    if backend == "numpy":
+        return fallback.levenshtein_one_to_many_bounded(query, ys, ibound)
     exact = levenshtein_one_to_many(query, ys)
     return np.where(exact <= ibound, exact, np.inf)

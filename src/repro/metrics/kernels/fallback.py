@@ -6,13 +6,14 @@ They hold the GIL but amortise Python-level dispatch over whole
 batches:
 
 * Minkowski / Hamming are plain broadcast reductions;
-* Levenshtein runs the two-row DP *across the entire batch at once* —
-  the only loop in Python iterates over the query's characters, and the
-  in-row dependency ``cur[j] = min(t[j], cur[j-1] + 1)`` is resolved
-  with the prefix-minimum identity
-  ``cur[j] = min_{k<=j} (t[k] + (j - k))`` via
-  ``np.minimum.accumulate`` — so a batch of 1 000 candidate words costs
-  ~``len(query)`` vector operations instead of a million Python steps;
+* Levenshtein runs the two-row DP *across the entire batch at once*,
+  in place and in int16 whenever the lengths allow — the Python loop
+  iterates over the query's characters, and the in-row dependency
+  ``cur[j] = min(t[j], cur[j-1] + 1)`` becomes a running minimum of the
+  shifted row ``t[j] - j`` — so a batch of 1 000 candidate words costs
+  ~``len(query)`` rounds of vector operations instead of a million
+  Python steps.  The bounded variant first drops candidates whose
+  length alone proves them out of range;
 * Jaccard loops over Python's C-implemented set intersection (there is
   no profitable dense formulation for sparse sets).
 
@@ -22,11 +23,11 @@ bit-equality against both the scalar reference and the native kernels.
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence, Set, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .encode import codepoints
+from .encode import codepoints, encode_strings
 
 __all__ = [
     "minkowski_pairwise",
@@ -35,8 +36,15 @@ __all__ = [
     "hamming_rowwise",
     "jaccard_scalar",
     "levenshtein_one_to_many",
+    "levenshtein_one_to_many_bounded",
     "levenshtein_rowwise",
 ]
+
+#: Batches at least this wide resolve the DP's in-row dependency with one
+#: vector op per candidate position; narrower ones use a single
+#: ``np.minimum.accumulate``, whose per-element cost only loses once the
+#: batch amortises the per-position calls.
+_COLUMN_LOOP_MIN = 256
 
 
 def minkowski_pairwise(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
@@ -93,78 +101,113 @@ def jaccard_scalar(a: Any, b: Any) -> float:
     return 1.0 - len(sa & sb) / union
 
 
-def _pad_codepoints(
-    strings: Sequence[str],
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Pad strings into an ``(n, L)`` int64 codepoint matrix (pad = -1)."""
-    lengths = np.array([len(s) for s in strings], dtype=np.int64)
+def _pad_codepoints(strings: Sequence[str]) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Pad strings into a ``(width, n)`` int32 codepoint matrix (pad = -1).
+
+    Column ``k`` holds string ``k``, so a DP row operation over the batch
+    touches contiguous memory.  The CSR data from :func:`encode_strings`
+    lands with one boolean-mask scatter (the transposed view iterates in
+    string-major order, matching the CSR layout); int32 holds every
+    codepoint, non-BMP ones included.
+    """
+    data, offsets = encode_strings(strings)
+    lengths = np.diff(offsets)
     width = int(lengths.max()) if len(strings) else 0
-    matrix = np.full((len(strings), width), -1, dtype=np.int64)
-    for i, s in enumerate(strings):
-        if s:
-            matrix[i, : len(s)] = codepoints(s).astype(np.int64)
-    return matrix, lengths, width
+    columns = np.full((width, len(strings)), -1, dtype=np.int32)
+    columns.T[np.arange(width) < lengths[:, None]] = data
+    return columns, lengths, width
 
 
-def _dp_step(
-    state: np.ndarray,
-    cost: np.ndarray,
-    i: int,
-    positions: np.ndarray,
+def _dp_dtype(rows: int, width: int) -> type:
+    """The narrowest safe DP dtype: every state value lies in
+    ``[-width - 1, rows + 1]``."""
+    if rows + width < np.iinfo(np.int16).max:
+        return np.int16
+    return np.int64
+
+
+def _edit_dp(
+    columns: np.ndarray,
+    query_rows: Iterable[Any],
+    dtype: type,
+    on_row: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> np.ndarray:
-    """One row of the batched edit DP with the prefix-min insertion fix."""
-    candidate = np.empty_like(state)
-    candidate[:, 0] = i
-    np.minimum(state[:, :-1] + cost, state[:, 1:] + 1, out=candidate[:, 1:])
-    shifted = candidate - positions
-    np.minimum.accumulate(shifted, axis=1, out=shifted)
-    return shifted + positions
+    """Run the batched edit DP down ``query_rows``; return the final state.
+
+    ``columns`` is a ``(width, n)`` padded codepoint matrix and each query
+    row a codepoint (or an ``(n,)`` vector of them, one per candidate).
+    The state is kept *shifted*, ``S[j] = D[i][j] - j``, which turns the
+    recurrence into ``C[j] = min(S[j-1] - eq[j], S[j] + 1)`` followed by
+    a running minimum down ``j`` — four in-place vector ops plus the
+    running minimum per query character.  ``D[i][len]`` is
+    ``S[len] + len``.  ``on_row(i, state)`` sees the state after row ``i``.
+    """
+    width, n = columns.shape
+    state = np.zeros((width + 1, n), dtype=dtype)
+    scratch = np.empty_like(state)
+    eq = np.empty((width, n), dtype=bool)
+    column_loop = n >= _COLUMN_LOOP_MIN
+    for i, char in enumerate(query_rows, start=1):
+        np.equal(columns, char, out=eq)
+        np.subtract(state[:-1], eq, out=scratch[1:])
+        np.add(state[1:], 1, out=state[1:])
+        np.minimum(scratch[1:], state[1:], out=scratch[1:])
+        scratch[0] = i
+        if column_loop:
+            for j in range(1, width + 1):
+                np.minimum(scratch[j], scratch[j - 1], out=scratch[j])
+            state, scratch = scratch, state
+        else:
+            np.minimum.accumulate(scratch, axis=0, out=state)
+        if on_row is not None:
+            on_row(i, state)
+    return state
 
 
 def levenshtein_one_to_many(query: str, ys: Sequence[str]) -> np.ndarray:
     """Edit distances from ``query`` to each candidate, batched in numpy."""
-    n = len(ys)
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
-    matrix, lengths, width = _pad_codepoints(ys)
-    lq = len(query)
-    if lq == 0:
-        return lengths.astype(np.float64)
-    if width == 0:
-        return np.full(n, float(lq))
-    q = codepoints(query).astype(np.int64)
-    positions = np.arange(width + 1, dtype=np.int64)
-    state = np.tile(positions, (n, 1))
-    for i in range(1, lq + 1):
-        cost = (matrix != q[i - 1]).astype(np.int64)
-        state = _dp_step(state, cost, i, positions)
-    return state[np.arange(n), lengths].astype(np.float64)
+    columns, lengths, width = _pad_codepoints(ys)
+    q = codepoints(query).astype(np.int32)
+    state = _edit_dp(columns, q, _dp_dtype(len(q), width))
+    return (state[lengths, np.arange(len(ys))] + lengths).astype(np.float64)
+
+
+def levenshtein_one_to_many_bounded(
+    query: str, ys: Sequence[str], bound: int
+) -> np.ndarray:
+    """Edit distances where ``<= bound``, ``inf`` elsewhere.
+
+    ``|len(query) - len(y)|`` is a lower bound on the distance, so
+    candidates whose length differs by more than ``bound`` are answered
+    ``inf`` without a DP; the rest go through one batched DP.
+    """
+    out = np.full(len(ys), np.inf)
+    lengths = np.fromiter(map(len, ys), dtype=np.int64, count=len(ys))
+    keep = np.flatnonzero(np.abs(lengths - len(query)) <= bound)
+    if keep.size:
+        exact = levenshtein_one_to_many(query, [ys[k] for k in keep])
+        out[keep] = np.where(exact <= bound, exact, np.inf)
+    return out
 
 
 def levenshtein_rowwise(
     xs: Sequence[str], ys: Sequence[str]
 ) -> np.ndarray:
     """Aligned edit distances, batched: iterate over the longest left
-    string's characters while snapshotting each row at its own length."""
-    n = len(xs)
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
+    string's characters while snapshotting each pair at its own length."""
     left, left_len, left_width = _pad_codepoints(xs)
     right, right_len, right_width = _pad_codepoints(ys)
-    out = np.empty(n, dtype=np.float64)
-    rows = np.arange(n)
-    if right_width == 0:
-        return left_len.astype(np.float64)
-    positions = np.arange(right_width + 1, dtype=np.int64)
-    state = np.tile(positions, (n, 1))
-    done = left_len == 0
-    out[done] = right_len[done].astype(np.float64)
-    for i in range(1, left_width + 1):
-        cost = (right != left[:, i - 1][:, None]).astype(np.int64)
-        state = _dp_step(state, cost, i, positions)
-        done = left_len == i
-        if done.any():
-            out[done] = state[rows[done], right_len[done]].astype(np.float64)
+    out = right_len.astype(np.float64)  # pairs with an empty left string
+
+    def snapshot(i: int, state: np.ndarray) -> None:
+        done = np.flatnonzero(left_len == i)
+        if done.size:
+            ends = right_len[done]
+            out[done] = state[ends, done] + ends
+
+    _edit_dp(
+        right, left, _dp_dtype(left_width, right_width), on_row=snapshot
+    )
     return out
 
 

@@ -15,6 +15,7 @@ meaningful with the extension both present and absent.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -33,7 +34,9 @@ from repro.metrics import (
     kernels,
 )
 
-WORD = st.text(alphabet="abcdefg", min_size=0, max_size=16)
+# Non-ASCII and non-BMP characters: the batched encodings must carry
+# every codepoint intact (U+1F600 does not fit 16 bits).
+WORD = st.text(alphabet="abcdefgèñ😀", min_size=0, max_size=16)
 WORDS = st.lists(WORD, min_size=0, max_size=12)
 VEC = st.lists(
     st.floats(
@@ -113,6 +116,77 @@ def test_levenshtein_pairwise_and_rowwise_conformance(xs, ys):
         assert np.array_equal(
             rw["numpy"], results["numpy"][np.arange(n), np.arange(n)][:n]
         )
+
+
+# Past int16: a DP whose values exceed 32,767 must not be narrowed.  One
+# side of every long pair stays short so the scalar reference is cheap.
+LONG = "ab😀" * 11_000  # 33,000 characters
+# Every string over "ab😀" up to length 5: a batch wide enough (364) for
+# the numpy DP's per-position running minimum.
+MANY = [
+    "".join(chars)
+    for size in range(6)
+    for chars in itertools.product("ab😀", repeat=size)
+]
+
+
+@pytest.mark.parametrize(
+    "q,ys",
+    [
+        ("", ["", "a", "😀ñè", LONG]),
+        ("ab😀", []),
+        ("", []),
+        (LONG, ["", "ab😀", "x", "😀" * 5]),
+        ("ab", [LONG, "b" * 32_765, "😀" * 32_768]),
+        ("x", ["b" * 32_765]),
+        ("xy", ["b" * 32_765]),
+        ("x", ["b" * 32_766]),
+        ("b😀ab", MANY),
+    ],
+    ids=["empty-query", "no-candidates", "both-empty", "long-query",
+         "long-candidates", "int16-max", "int16-max+1", "int16-max+1b",
+         "wide-batch"],
+)
+def test_levenshtein_fixed_cases(q, ys):
+    expected = np.array(
+        [kernels.scalar.levenshtein(q, y) for y in ys], dtype=np.float64
+    )
+    for name in backends():
+        with kernels.use_backend(name):
+            assert np.array_equal(
+                kernels.levenshtein_one_to_many(q, ys), expected
+            ), name
+            for bound in (0, 0.5, 2.75, 33_000):
+                got = kernels.levenshtein_one_to_many_bounded(q, ys, bound)
+                masked = np.where(expected <= bound, expected, np.inf)
+                assert np.array_equal(got, masked), (name, bound)
+
+
+@pytest.mark.parametrize(
+    "xs,ys,expected",
+    [
+        ([LONG, "😀", LONG], ["ab", "", ""], [32_998.0, 1.0, 33_000.0]),
+        (["", "ab", "x"], [LONG, "b" * 32_767, "😀" * 33_000],
+         [33_000.0, 32_766.0, 33_000.0]),
+    ],
+    ids=["long-left", "long-right"],
+)
+def test_levenshtein_rowwise_long_pairs(xs, ys, expected):
+    results = all_backends(lambda: kernels.levenshtein_rowwise(xs, ys))
+    assert_agree(results, exact=True)
+    assert results["numpy"].tolist() == expected
+
+
+@given(q=WORD, ys=WORDS, bound=st.floats(min_value=0, max_value=12))
+def test_levenshtein_fractional_bound_conformance(q, ys, bound):
+    results = all_backends(
+        lambda: kernels.levenshtein_one_to_many_bounded(q, ys, bound)
+    )
+    assert_agree(results, exact=True)
+    exact = np.array([EditDistance().distance(q, y) for y in ys])
+    assert np.array_equal(
+        results["numpy"], np.where(exact <= bound, exact, np.inf)
+    )
 
 
 # ------------------------------------------------------------- Minkowski

@@ -104,6 +104,18 @@ class TestQuerySpans:
         assert len(visits) == result.stats.nodes_accessed
         root = tracer.roots()[0]
         assert all(s.parent_id == root.span_id for s in visits)
+        # Leaf entries are evaluated in batches, each under its own span.
+        batches = [s for s in tracer.spans if s.name == "mtree.leaf_batch"]
+        assert batches
+        assert all(s.parent_id == root.span_id for s in batches)
+        leaf_visits = [
+            s for s in visits
+            if s.attributes["level"] == tree.height
+        ]
+        assert sum(s.attributes["leaves"] for s in batches) == len(leaf_visits)
+        assert sum(s.attributes["entries"] for s in batches) == sum(
+            s.attributes["entries"] for s in leaf_visits
+        )
 
     def test_distance_detail_yields_eval_grandchildren(self, tree):
         observability.install(tracing="distance")
@@ -114,10 +126,14 @@ class TestQuerySpans:
         assert sum(s.attributes["n"] for s in evals) == (
             result.stats.dists_computed
         )
-        visit_ids = {
-            s.span_id for s in tracer.spans if s.name == "mtree.node_visit"
+        # Internal nodes evaluate under their node visit; batched leaf
+        # evaluations under their leaf batch.
+        parent_ids = {
+            s.span_id
+            for s in tracer.spans
+            if s.name in ("mtree.node_visit", "mtree.leaf_batch")
         }
-        assert all(s.parent_id in visit_ids for s in evals)
+        assert all(s.parent_id in parent_ids for s in evals)
 
 
 class TestProfilingHooks:

@@ -5,7 +5,9 @@ Each ``benchmarks/bench_*.py`` file is executed in a subprocess with
 call per bench, no timing rounds), asserting a clean exit and that the
 autouse conftest fixture emitted a metrics snapshot for every test in the
 file.  This keeps all twenty paper/extension benches runnable without
-paying their default-scale runtimes in CI.
+paying their default-scale runtimes in CI.  Quick runs are smoke tests,
+not measurements: they must leave the tracked ``BENCH_*.json``
+trajectories byte-identical.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = REPO_ROOT / "benchmarks"
 BENCH_FILES = sorted(BENCH_DIR.glob("bench_*.py"))
+TRAJECTORIES = ("BENCH_cluster.json", "BENCH_ingest.json", "BENCH_kernels.json")
 
 # Per-file subprocess timeout: quick-scale benches finish in 3-15 s each;
 # a stuck bench should fail fast rather than hang the suite.
@@ -31,11 +34,16 @@ def test_bench_directory_is_nonempty():
     assert len(BENCH_FILES) >= 20, "bench suite unexpectedly shrank"
 
 
+def trajectory_bytes():
+    return {name: (BENCH_DIR / name).read_bytes() for name in TRAJECTORIES}
+
+
 @pytest.mark.parametrize(
     "bench_file", BENCH_FILES, ids=lambda p: p.stem
 )
 def test_bench_smoke(bench_file, tmp_path):
     metrics_dir = tmp_path / "metrics"
+    trajectories = trajectory_bytes()
     env = dict(os.environ)
     env["METRICOST_BENCH_SCALE"] = "quick"
     env["METRICOST_METRICS_DIR"] = str(metrics_dir)
@@ -61,6 +69,10 @@ def test_bench_smoke(bench_file, tmp_path):
     assert proc.returncode == 0, (
         f"{bench_file.name} failed at quick scale:\n"
         f"{proc.stdout[-2000:]}\n{proc.stderr[-2000:]}"
+    )
+
+    assert trajectory_bytes() == trajectories, (
+        f"{bench_file.name} changed a tracked BENCH_*.json at quick scale"
     )
 
     snapshots = sorted(metrics_dir.glob("*.metrics.json"))
