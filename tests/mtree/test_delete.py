@@ -119,3 +119,17 @@ class TestDelete:
         tree.validate()
         remaining = {oid for oid, _obj in tree.iter_objects()}
         assert remaining == set(range(55, 120))
+
+    def test_reattach_split_propagates_to_parent(self):
+        """Re-attaching an orphaned subtree can split its new parent and
+        overflow the grandparent; the split must carry on upwards so no
+        node is left over capacity."""
+        points = np.random.default_rng(6).random((118, 2))
+        layout = NodeLayout(node_size_bytes=160, object_bytes=16)
+        tree = bulk_load(points, L2(), layout, seed=7)
+        victims = np.random.default_rng(251).choice(118, size=39, replace=False)
+        for victim in victims:
+            assert tree.delete(points[victim], oid=int(victim))
+        tree.validate()
+        remaining = {oid for oid, _obj in tree.iter_objects()}
+        assert remaining == set(range(118)) - {int(v) for v in victims}
