@@ -9,7 +9,7 @@ small corpus of persisted artifacts, inject one of each fault class —
 * a legacy unchecksummed artifact (strict-mode violation),
 * structural index corruption (covered by the ``fsck`` self-test, which
   injects shrunken radii, skewed parent distances, dropped entries,
-  shrunken vp cutoffs, and orphan/dangling/aliased pages),
+  and orphan/dangling/aliased pages),
 
 — then run the *real* CLIs (``python -m repro doctor --json`` and
 ``python -m repro fsck --json``) as subprocesses and assert that every
@@ -59,25 +59,23 @@ def build_corpus(root: Path) -> dict:
     from repro.core import estimate_distance_histogram
     from repro.datasets import clustered_dataset
     from repro.mtree import bulk_load, vector_layout
-    from repro.persistence import save_histogram, save_mtree, save_vptree
-    from repro.vptree import VPTree
+    from repro.persistence import save_histogram, save_mtree
 
     data = clustered_dataset(size=150, dim=3, seed=5)
     hist = estimate_distance_histogram(
         data.points, data.metric, data.d_plus, n_bins=40
     )
     tree = bulk_load(data.points, data.metric, vector_layout(3), seed=5)
-    vtree = VPTree.build(list(data.points), data.metric, arity=3, seed=5)
     save_histogram(hist, root / "histogram.json")
     save_mtree(tree, root / "mtree.json")
     save_mtree(tree, root / "mtree_torn.json")
-    save_vptree(vtree, root / "vptree_flipped.json")
+    save_mtree(tree, root / "mtree_flipped.json")
     save_histogram(hist, root / "healthy.json")
 
     # Bit rot: flip one character inside the envelope body.  "body" is
     # serialised last (see repro.reliability.integrity), so any byte in
     # the back half of the file is body text.
-    flipped = root / "vptree_flipped.json"
+    flipped = root / "mtree_flipped.json"
     text = flipped.read_text()
     pos = len(text) - len(text) // 4
     while text[pos] in '"\\{}[]':  # keep the envelope JSON parseable
@@ -94,7 +92,7 @@ def build_corpus(root: Path) -> dict:
     (root / "legacy.json").write_text(json.dumps({"kind": "histogram"}))
 
     return {
-        "vptree_flipped.json": "bit rot",
+        "mtree_flipped.json": "bit rot",
         "mtree_torn.json": "torn write",
         "legacy.json": "legacy artifact (strict)",
     }
@@ -151,7 +149,7 @@ def main() -> int:
             "non-strict doctor tolerates the legacy artifact",
         )
         check(
-            tolerant_verdicts.get("vptree_flipped.json") is False,
+            tolerant_verdicts.get("mtree_flipped.json") is False,
             "non-strict doctor still flags bit rot",
         )
 
@@ -170,7 +168,6 @@ def main() -> int:
         "mtree.shrink_radius",
         "mtree.skew_parent_distance",
         "mtree.drop_entry",
-        "vptree.shrink_cutoff",
         "pages.inject_orphan_page",
         "pages.inject_dangling_ref",
         "pages.inject_page_alias",

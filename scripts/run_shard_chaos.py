@@ -20,7 +20,7 @@ ground truth:
 
 Three more stages ride along (``--stage`` selects one):
 
-* **lifecycle** — corrupt a shard's vp-tree mid-workload and let
+* **lifecycle** — corrupt a shard's M-tree mid-workload and let
   ``ClusterLifecycle.tick`` walk the whole ladder automatically:
   scrub finds the fault, promotes it into the router quarantine,
   repairs the tree, bumps the membership epoch and commits through the
@@ -69,7 +69,10 @@ from repro.cluster import (  # noqa: E402
     save_cluster,
 )
 from repro.datasets import clustered_dataset  # noqa: E402
-from repro.reliability import ShardFaultInjector  # noqa: E402
+from repro.reliability import (  # noqa: E402
+    ShardFaultInjector,
+    StructuralFaultInjector,
+)
 from repro.service import QueryRequest  # noqa: E402
 from repro.service.recovery import SimulatedCrashError  # noqa: E402
 
@@ -78,6 +81,9 @@ KILL_AT = 200  # query index at which the victim shard dies
 SLOW_S = 0.08
 HEDGE_DELAY_S = 0.02
 COMPLETENESS_BAR = 0.75
+#: Shard node size for the lifecycle stage: small enough that every
+#: shard's M-tree has routing entries whose radii can be corrupted.
+LIFECYCLE_NODE_BYTES = 512
 
 
 def build_workload(data, n_queries: int, seed: int = 23):
@@ -266,7 +272,7 @@ def stage_scatter(args, check) -> None:
 def stage_lifecycle(args, check) -> None:
     """Stage 2: the self-healing ladder fires with no manual calls.
 
-    Corrupt one shard's vp-tree between two workload halves; one
+    Corrupt one shard's M-tree between two workload halves; one
     ``ClusterLifecycle.tick`` must scrub, promote, repair, bump the
     epoch and commit — and the second half must answer as exactly as
     the first.
@@ -282,6 +288,7 @@ def stage_lifecycle(args, check) -> None:
             n_shards=3,
             d_plus=data.d_plus,
             seed=31,
+            node_size_bytes=LIFECYCLE_NODE_BYTES,
             min_completeness=1.0,
             max_concurrent=2 * args.workers,
             max_queue=4 * args.workers,
@@ -295,9 +302,11 @@ def stage_lifecycle(args, check) -> None:
 
         start = time.perf_counter()
         before = router.run(requests[:half], workers=args.workers)
-        # Mid-workload structural damage: shrink a routing cutoff so
+        # Mid-workload structural damage: shrink a covering radius so
         # the ancestor's pruning test lies about its subtree.
-        router.membership.shards[1].tree.root.cutoffs[0] *= 0.25
+        StructuralFaultInjector(seed=31).shrink_radius(
+            router.membership.shards[1].tree
+        )
         report = lifecycle.tick()
         after = router.run(requests[half:], workers=args.workers)
         wall_s = time.perf_counter() - start

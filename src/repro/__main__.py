@@ -24,11 +24,11 @@ degradation checks) and, with ``--artifacts``, integrity-checks every
 persisted artifact in a directory; it exits non-zero on any problem.
 ``fsck`` structurally verifies an index: by default it runs a seeded
 self-test that injects every structural fault kind and asserts detection
-and repair; with ``--mtree FILE`` / ``--vptree FILE`` it checks a
-persisted tree.  ``scrub`` builds a seeded tree (optionally injecting
-faults) and runs the online scrubber with quarantine, reporting what a
-degraded query would see.  ``doctor``, ``fsck`` and ``scrub`` all accept
-``--json`` for machine-readable output and exit non-zero when unhealthy.
+and repair; with ``--mtree FILE`` it checks a persisted tree.  ``scrub``
+builds a seeded tree (optionally injecting faults) and runs the online
+scrubber with quarantine, reporting what a degraded query would see.
+``doctor``, ``fsck`` and ``scrub`` all accept ``--json`` for
+machine-readable output and exit non-zero when unhealthy.
 
 ``--metrics`` installs the observability layer for the run and prints the
 counter table afterwards; ``--metrics-out FILE`` additionally persists the
@@ -269,12 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="persisted M-tree artifact to check instead of the self-test",
-    )
-    fsck.add_argument(
-        "--vptree",
-        default=None,
-        metavar="FILE",
-        help="persisted vp-tree artifact to check instead of the self-test",
     )
     fsck.add_argument(
         "--metric",
@@ -561,20 +555,18 @@ def _run_doctor(args: argparse.Namespace) -> int:
 
 def _fsck_selftest(size: int, seed: int) -> dict:
     """Inject every structural fault kind into seeded trees; record whether
-    fsck detected it (and, for M-trees, whether repair produced a clean
-    tree)."""
+    fsck detected it (and, for tree faults, whether repair produced a
+    clean tree)."""
     from .datasets import clustered_dataset
     from .mtree import bulk_load, vector_layout
     from .reliability import (
         StructuralFaultInjector,
         fsck_mtree,
         fsck_page_graph,
-        fsck_vptree,
         materialize_page_graph,
         repair_mtree,
     )
     from .storage import PageStore
-    from .vptree import VPTree
 
     cases = []
 
@@ -606,26 +598,6 @@ def _fsck_selftest(size: int, seed: int) -> dict:
                 "ok": clean_before and detected and repaired,
             }
         )
-
-    data = clustered_dataset(size=size, dim=3, seed=seed)
-    vtree = VPTree.build(
-        list(data.points), data.metric, arity=3, seed=seed
-    )
-    clean_before = fsck_vptree(vtree).ok
-    StructuralFaultInjector(seed=seed).shrink_cutoff(vtree)
-    report = fsck_vptree(vtree)
-    detected = "cutoff_violation" in report.kinds()
-    cases.append(
-        {
-            "name": "vptree.shrink_cutoff",
-            "expected": "cutoff_violation",
-            "clean_before": clean_before,
-            "detected": detected,
-            "detected_kinds": report.kinds(),
-            "repaired": None,
-            "ok": clean_before and detected,
-        }
-    )
 
     for method, expected in (
         ("inject_orphan_page", "orphan_page"),
@@ -663,38 +635,30 @@ def _fsck_selftest(size: int, seed: int) -> dict:
 def _run_fsck(args: argparse.Namespace) -> int:
     import json
 
-    from .reliability import fsck_mtree, fsck_vptree
+    from .reliability import fsck_mtree
 
-    if args.mtree is not None and args.vptree is not None:
-        print("choose one of --mtree / --vptree, not both", file=sys.stderr)
-        return 2
-    if args.mtree is not None or args.vptree is not None:
+    if args.mtree is not None:
         from .metrics import L1, L2, LInf
-        from .persistence import load_mtree, load_vptree
+        from .persistence import load_mtree
 
         from .exceptions import MetricostError
 
         metric = {"l2": L2, "l1": L1, "linf": LInf}[args.metric]()
         try:
-            if args.mtree is not None:
-                tree = load_mtree(args.mtree, metric, strict=args.strict)
-                report = fsck_mtree(tree)
-            else:
-                tree = load_vptree(args.vptree, metric, strict=args.strict)
-                report = fsck_vptree(tree)
+            tree = load_mtree(args.mtree, metric, strict=args.strict)
+            report = fsck_mtree(tree)
         except (MetricostError, OSError) as exc:
             # A tree that cannot even be loaded is as failed as fsck
             # gets: report it the same way, machine-readably on request.
-            path = args.mtree if args.mtree is not None else args.vptree
             if args.json:
                 print(
                     json.dumps(
-                        {"ok": False, "path": path, "error": str(exc)},
+                        {"ok": False, "path": args.mtree, "error": str(exc)},
                         indent=2,
                     )
                 )
             else:
-                print(f"FAIL {path}: {exc}", file=sys.stderr)
+                print(f"FAIL {args.mtree}: {exc}", file=sys.stderr)
             return 1
         if args.json:
             print(json.dumps(report.to_dict(), indent=2))

@@ -17,7 +17,7 @@ rung                    what happens
                         :class:`~repro.cluster.router.ShardQuarantine`
                         entry the instant it surfaces (``on_fault``
                         hook — no scrub pass needs to finish first)
-``repairing``           :func:`~repro.reliability.repair_vptree`
+``repairing``           :func:`~repro.reliability.repair_mtree`
                         rebuilds the index from its surviving objects;
                         success re-certifies the shard, commits a new
                         store generation, and bumps the membership
@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..observability import state as _obs
-from ..reliability.fsck import StructuralFault, repair_vptree
+from ..reliability.fsck import StructuralFault, repair_mtree
 from ..reliability.scrub import Scrubber
 from .rebalance import (
     RebalanceOutcome,
@@ -290,12 +290,12 @@ class ClusterLifecycle:
                 "cluster.lifecycle.repair", shard=shard_id,
                 epoch=membership.epoch,
             ):
-                outcome = repair_vptree(
+                outcome = repair_mtree(
                     shard.tree, seed=self.seed + membership.epoch,
                     quarantine=shard.quarantine,
                 )
         else:
-            outcome = repair_vptree(
+            outcome = repair_mtree(
                 shard.tree, seed=self.seed + membership.epoch,
                 quarantine=shard.quarantine,
             )

@@ -19,7 +19,7 @@ Execution is a two-phase, resumable, crash-consistent protocol:
    file (one atomic write per shard) with the copy **cursor** mirrored
    back into the journal, so a crashed copy resumes after the last
    staged shard instead of restarting;
-3. **commit** — build and fsck every new shard tree, then save *all*
+3. **commit** — bulk-load and fsck every new shard tree, then save *all*
    shard trees plus the ``membership`` document (epoch, assignment,
    pivot profiles) as one :class:`~repro.service.GenerationStore`
    generation — the store's manifest replace is the single commit point
@@ -59,13 +59,11 @@ from ..persistence import (
     _atomic_write_text,
     _default_decode,
     _default_encode,
-    vptree_from_dict,
-    vptree_to_dict,
+    mtree_from_dict,
+    mtree_to_dict,
 )
-from ..reliability.fsck import fsck_vptree
 from ..reliability.integrity import dumps_artifact, loads_artifact
 from ..service.recovery import GenerationStore
-from ..vptree.tree import VPTree
 from .partition import ShardStats, partition_objects
 from .router import ClusterMembership, Router
 from .shard import Shard
@@ -81,7 +79,7 @@ __all__ = [
     "load_cluster",
 ]
 
-REBALANCE_FORMAT = "metricost-rebalance-v1"
+REBALANCE_FORMAT = "metricost-rebalance-v2"
 REBALANCE_JOURNAL_NAME = "REBALANCE.json"
 STAGING_PREFIX = "staging-shard-"
 MEMBERSHIP_ARTIFACT = "membership"
@@ -114,7 +112,7 @@ class RebalancePlan:
     n_shards: int
     d_plus: float
     seed: int
-    arity: int
+    node_size_bytes: int
     oids: Tuple[Tuple[int, ...], ...]
     pivots: Tuple[Any, ...]
     old_cost: float
@@ -263,7 +261,7 @@ def plan_rebalance(
         n_shards=n_shards,
         d_plus=float(d_plus),
         seed=seed,
-        arity=membership.shards[0].arity,
+        node_size_bytes=membership.shards[0].node_size_bytes,
         oids=plan_oids,
         pivots=tuple(partition.pivots),
         old_cost=old_cost,
@@ -275,7 +273,7 @@ def plan_rebalance(
 
 def _membership_document(
     shards: Sequence[Shard], epoch: int, d_plus: float, seed: int,
-    arity: int, encode: Encoder,
+    node_size_bytes: int, encode: Encoder,
 ) -> Dict[str, Any]:
     return {
         "format": REBALANCE_FORMAT,
@@ -284,7 +282,7 @@ def _membership_document(
         "n_shards": len(shards),
         "d_plus": float(d_plus),
         "seed": int(seed),
-        "arity": int(arity),
+        "node_size_bytes": int(node_size_bytes),
         "shards": [
             {
                 "shard_id": shard.shard_id,
@@ -301,17 +299,19 @@ def _membership_document(
 
 def _cluster_artifacts(
     shards: Sequence[Shard], epoch: int, d_plus: float, seed: int,
-    arity: int, encode: Encoder,
+    node_size_bytes: int, encode: Encoder,
 ) -> Dict[str, str]:
     """The full artifact bundle for one committed cluster generation."""
     artifacts = {
         MEMBERSHIP_ARTIFACT: dumps_artifact(
-            _membership_document(shards, epoch, d_plus, seed, arity, encode)
+            _membership_document(
+                shards, epoch, d_plus, seed, node_size_bytes, encode
+            )
         )
     }
     for shard in shards:
         artifacts[f"{SHARD_ARTIFACT_PREFIX}{shard.shard_id}"] = (
-            dumps_artifact(vptree_to_dict(shard.tree, encode))
+            dumps_artifact(mtree_to_dict(shard.tree, encode))
         )
     return artifacts
 
@@ -337,23 +337,10 @@ def save_cluster(
         membership.epoch,
         d_plus,
         router.seed,
-        membership.shards[0].arity,
+        membership.shards[0].node_size_bytes,
         encode or _default_encode,
     )
     return store.save(artifacts, crash_after_step=crash_after_step)
-
-
-def _tree_objects_in_oid_order(tree: VPTree) -> Tuple[List[int], List[Any]]:
-    """Harvest ``(local oids, objects)`` from a tree, oid-ordered."""
-    recovered: Dict[int, Any] = {}
-    stack = [tree.root] if tree.root is not None else []
-    while stack:
-        node = stack.pop()
-        if node.oid not in recovered:
-            recovered[node.oid] = node.obj
-        stack.extend(c for c in node.children if c is not None)
-    oids = sorted(recovered)
-    return oids, [recovered[oid] for oid in oids]
 
 
 def load_cluster(
@@ -391,7 +378,7 @@ def load_cluster(
     epoch = int(doc["epoch"])
     d_plus = float(doc["d_plus"])
     seed = int(doc["seed"])
-    arity = int(doc["arity"])
+    node_size_bytes = int(doc["node_size_bytes"])
     shards: List[Shard] = []
     for entry in sorted(doc["shards"], key=lambda e: int(e["shard_id"])):
         shard_id = int(entry["shard_id"])
@@ -401,14 +388,17 @@ def load_cluster(
                 f"membership epoch {epoch} references missing shard "
                 f"artifact {name!r}"
             )
-        tree = vptree_from_dict(
+        tree = mtree_from_dict(
             loads_artifact(texts[name], source=name), metric, decode
         )
-        local_oids, objects = _tree_objects_in_oid_order(tree)
-        if local_oids != list(range(len(objects))):
+        by_oid = dict(tree.iter_objects())
+        oids = [int(oid) for oid in entry["oids"]]
+        if sorted(by_oid) != sorted(oids):
             raise CorruptedDataError(
-                f"shard {shard_id} tree oids are not a dense local range"
+                f"shard {shard_id} tree does not hold the oids its "
+                f"membership entry lists"
             )
+        objects = [by_oid[oid] for oid in oids]
         stats = ShardStats.from_objects(
             shard_id,
             objects,
@@ -421,10 +411,10 @@ def load_cluster(
             Shard(
                 shard_id=shard_id,
                 objects=objects,
-                oids=[int(oid) for oid in entry["oids"]],
+                oids=oids,
                 metric=metric,
                 stats=stats,
-                arity=arity,
+                node_size_bytes=node_size_bytes,
                 seed=seed,
                 epoch=epoch,
                 tree=tree,
@@ -619,8 +609,8 @@ class Rebalancer:
             if remaining >= self.store.total_save_steps(plan.n_shards + 1):
                 remaining = None
         artifacts = _cluster_artifacts(
-            new_shards, plan.epoch_to, plan.d_plus, plan.seed, plan.arity,
-            self.encode,
+            new_shards, plan.epoch_to, plan.d_plus, plan.seed,
+            plan.node_size_bytes, self.encode,
         )
         generation = self.store.save(artifacts, crash_after_step=remaining)
         step += self.store.total_save_steps(len(artifacts))
@@ -662,7 +652,7 @@ class Rebalancer:
             "n_shards": plan.n_shards,
             "d_plus": plan.d_plus,
             "seed": plan.seed,
-            "arity": plan.arity,
+            "node_size_bytes": plan.node_size_bytes,
             "reason": plan.reason,
             "oids": [list(group) for group in plan.oids],
             "pivots": [self.encode(pivot) for pivot in plan.pivots],
@@ -676,7 +666,7 @@ class Rebalancer:
             n_shards=int(journal["n_shards"]),
             d_plus=float(journal["d_plus"]),
             seed=int(journal["seed"]),
-            arity=int(journal["arity"]),
+            node_size_bytes=int(journal["node_size_bytes"]),
             oids=tuple(
                 tuple(int(oid) for oid in group)
                 for group in journal["oids"]
@@ -707,16 +697,6 @@ class Rebalancer:
                     f"the journaled plan"
                 )
             objects = [self.decode(p) for p in doc["objects"]]
-            tree = VPTree.build(
-                objects, self.metric, arity=plan.arity,
-                seed=plan.seed + shard_id,
-            )
-            report = fsck_vptree(tree)
-            if not report.ok:
-                raise CorruptedDataError(
-                    f"rebuilt tree for shard {shard_id} failed fsck: "
-                    f"{report.kinds()}"
-                )
             pivot = (
                 plan.pivots[shard_id]
                 if shard_id < len(plan.pivots)
@@ -725,19 +705,23 @@ class Rebalancer:
             stats = ShardStats.from_objects(
                 shard_id, objects, pivot, self.metric, plan.d_plus
             )
-            shards.append(
-                Shard(
-                    shard_id=shard_id,
-                    objects=objects,
-                    oids=oids,
-                    metric=self.metric,
-                    stats=stats,
-                    arity=plan.arity,
-                    seed=plan.seed,
-                    epoch=plan.epoch_to,
-                    tree=tree,
-                )
+            shard = Shard(
+                shard_id=shard_id,
+                objects=objects,
+                oids=oids,
+                metric=self.metric,
+                stats=stats,
+                node_size_bytes=plan.node_size_bytes,
+                seed=plan.seed,
+                epoch=plan.epoch_to,
             )
+            report = shard.fsck()
+            if not report.ok:
+                raise CorruptedDataError(
+                    f"rebuilt tree for shard {shard_id} failed fsck: "
+                    f"{report.kinds()}"
+                )
+            shards.append(shard)
         return shards
 
     @staticmethod

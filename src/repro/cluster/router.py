@@ -1144,7 +1144,7 @@ def build_cluster(
     n_shards: int,
     d_plus: float,
     seed: int = 0,
-    arity: int = 4,
+    node_size_bytes: int = 4096,
     hedge_delay_s: float = 0.05,
     shard_timeout_s: float = 2.0,
     min_completeness: float = 0.0,
@@ -1156,11 +1156,13 @@ def build_cluster(
     """Partition ``objects``, build one :class:`Shard` per slice, and
     front them with a :class:`Router` — the one-call cluster.
 
-    ``max_concurrent`` sizes each shard's admission controller.  Hedged
-    duplicates need *headroom*: if every slot can be held by a stalled
-    primary, a hedge queues behind the very straggler it was meant to
-    beat — provision roughly twice the expected concurrent router
-    workers when hedging matters.
+    ``node_size_bytes`` sizes every shard's bulk-loaded M-tree node (the
+    paper's 4 KB by default; small shards need small nodes to grow
+    internal levels).  ``max_concurrent`` sizes each shard's admission
+    controller.  Hedged duplicates need *headroom*: if every slot can be
+    held by a stalled primary, a hedge queues behind the very straggler
+    it was meant to beat — provision roughly twice the expected
+    concurrent router workers when hedging matters.
     """
     partition = partition_objects(
         objects, metric, n_shards, d_plus, seed=seed
@@ -1172,7 +1174,7 @@ def build_cluster(
             oids=[int(i) for i in partition.shard_indices[shard_id]],
             metric=metric,
             stats=partition.stats[shard_id],
-            arity=arity,
+            node_size_bytes=node_size_bytes,
             seed=seed,
             max_concurrent=max_concurrent,
             max_queue=max_queue,

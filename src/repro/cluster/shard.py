@@ -2,7 +2,8 @@
 
 Each shard owns a slice of the dataset (assigned by
 :func:`~repro.cluster.partition.partition_objects`), indexes it with a
-vp-tree, and fronts it with the full PR 3/4 serving stack — its *own*
+bulk-loaded M-tree (4 KB nodes by default, the paper's node size), and
+fronts it with the full serving stack — its *own*
 :class:`~repro.service.AdmissionController`,
 :class:`~repro.service.CircuitBreaker`, and
 :class:`~repro.reliability.QuarantineSet` — so one sick shard sheds,
@@ -16,9 +17,9 @@ breaker), ``slow`` stalls execution while *cooperatively* polling the
 request budget, so a cancelled straggler (a hedge won the race) stops
 promptly instead of sleeping through its stall.
 
-Local vp-tree oids are positions within the shard; every result is
-remapped to **global** oids before it leaves the shard, so the router's
-merge and its duplicate detection work in one id space.
+The shard's tree stores **global** oids, so every result leaves the
+shard in the one id space the router's merge and its duplicate
+detection work in.
 
 Every shard belongs to exactly one **membership epoch** (see
 :mod:`repro.cluster.lifecycle`): when a rebalance or repair installs a
@@ -41,13 +42,13 @@ import numpy as np
 from ..context import Context
 from ..exceptions import InvalidParameterError, IOFaultError
 from ..metrics import Metric
+from ..mtree import MTree, bulk_load, vector_layout
 from ..reliability.faults import ShardChaos
-from ..reliability.fsck import FsckReport, fsck_vptree
+from ..reliability.fsck import FsckReport, fsck_mtree
 from ..reliability.quarantine import QuarantineSet
 from ..service.admission import AdmissionController
 from ..service.breaker import CircuitBreaker
 from ..service.service import QueryOutcome, QueryRequest, QueryService
-from ..vptree.tree import VPTree
 
 __all__ = ["Shard"]
 
@@ -57,7 +58,7 @@ STALL_SLICE_S = 0.005
 
 
 class _ShardBackend:
-    """Backend adapter: chaos gate → vp-tree → global-oid remap."""
+    """Backend adapter: chaos gate → M-tree (or the linear-scan rung)."""
 
     def __init__(self, shard: "Shard"):
         self.shard = shard
@@ -115,7 +116,7 @@ class _ShardBackend:
                 deadline=deadline,
                 quarantine=shard.quarantine,
             )
-            local_items = result.items
+            items = result.items
         else:
             # A shard holds only its slice: a k larger than the shard is
             # legitimate (the router merges across shards), so clamp.
@@ -126,11 +127,7 @@ class _ShardBackend:
                 deadline=deadline,
                 quarantine=shard.quarantine,
             )
-            local_items = result.neighbors
-        items = [
-            (shard.oids[local_oid], obj, dist)
-            for local_oid, obj, dist in local_items
-        ]
+            items = [(n.oid, n.obj, n.distance) for n in result.neighbors]
         return QueryOutcome(
             request=request,
             status="ok",
@@ -153,14 +150,14 @@ class Shard:
         oids: Sequence[int],
         metric: Metric,
         stats: Any = None,
-        arity: int = 4,
+        node_size_bytes: int = 4096,
         seed: int = 0,
         max_concurrent: int = 8,
         max_queue: int = 32,
         breaker_failure_threshold: int = 3,
         breaker_recovery_timeout_s: float = 0.5,
         epoch: int = 0,
-        tree: Optional[VPTree] = None,
+        tree: Optional[MTree] = None,
     ):
         if len(objects) != len(oids):
             raise InvalidParameterError(
@@ -173,16 +170,22 @@ class Shard:
         self.metric = metric
         self.stats = stats
         self.epoch = int(epoch)
-        self.arity = arity
+        self.node_size_bytes = int(node_size_bytes)
         self.seed = seed
         if tree is not None and len(tree) != len(self.objects):
             raise InvalidParameterError(
                 f"shard {shard_id}: prebuilt tree holds {len(tree)} "
                 f"objects but the shard was given {len(self.objects)}"
             )
-        self.tree = tree if tree is not None else VPTree.build(
-            self.objects, metric, arity=arity, seed=seed + shard_id
-        )
+        if tree is None:
+            layout = vector_layout(
+                int(np.asarray(self.objects[0]).size), self.node_size_bytes
+            )
+            tree = bulk_load(
+                self.objects, metric, layout, seed=seed + shard_id,
+                oids=self.oids,
+            )
+        self.tree = tree
         self.quarantine = QuarantineSet()
         self.chaos = ShardChaos()
         self._state_lock = threading.Lock()
@@ -235,7 +238,7 @@ class Shard:
         with self._state_lock:
             self._scan_only = True
 
-    def replace_tree(self, tree: VPTree) -> None:
+    def replace_tree(self, tree: MTree) -> None:
         """Swap in a repaired index and lift every node quarantine.
 
         The swap is a single reference assignment: concurrent queries
@@ -311,7 +314,7 @@ class Shard:
 
     def fsck(self) -> FsckReport:
         """Structural verification of this shard's index."""
-        return fsck_vptree(self.tree)
+        return fsck_mtree(self.tree)
 
     def __repr__(self) -> str:
         return (

@@ -8,7 +8,6 @@ should be reloadable.  This module provides JSON round-trips for:
 * :class:`~repro.core.histogram.DistanceHistogram`
 * N-MCM / L-MCM statistics (:class:`NodeStat` / :class:`LevelStat`)
 * the full :class:`~repro.mtree.MTree` (structure + objects)
-* the full :class:`~repro.vptree.VPTree`
 
 Objects are encoded by a codec: numpy vectors become lists tagged
 ``{"t": "vec", "v": [...]}``, strings pass through tagged ``{"t": "str"}``.
@@ -42,7 +41,6 @@ from .mtree.entries import LeafEntry, RoutingEntry
 from .mtree.node import Node
 from .reliability.integrity import dumps_artifact, loads_artifact
 from .reliability.retry import RetryPolicy
-from .vptree import VPNode, VPTree
 
 __all__ = [
     "histogram_to_dict",
@@ -57,10 +55,6 @@ __all__ = [
     "mtree_from_dict",
     "save_mtree",
     "load_mtree",
-    "vptree_to_dict",
-    "vptree_from_dict",
-    "save_vptree",
-    "load_vptree",
 ]
 
 Encoder = Callable[[Any], Any]
@@ -379,88 +373,3 @@ def load_mtree(
     rejects legacy unchecksummed files)."""
     return mtree_from_dict(_load_artifact(path, retry, strict), metric, decode)
 
-
-# ---------------------------------------------------------------------------
-# vp-tree
-# ---------------------------------------------------------------------------
-
-
-def _encode_vpnode(node: VPNode, encode: Encoder) -> Dict[str, Any]:
-    return {
-        "obj": encode(node.obj),
-        "oid": node.oid,
-        "cutoffs": list(node.cutoffs),
-        "children": [
-            _encode_vpnode(child, encode) if child is not None else None
-            for child in node.children
-        ],
-    }
-
-
-def _decode_vpnode(payload: Dict[str, Any], decode: Decoder) -> VPNode:
-    node = VPNode(decode(payload["obj"]), int(payload["oid"]))
-    node.cutoffs = [float(c) for c in payload["cutoffs"]]
-    node.children = [
-        _decode_vpnode(child, decode) if child is not None else None
-        for child in payload["children"]
-    ]
-    return node
-
-
-def vptree_to_dict(
-    tree: VPTree, encode: Encoder = _default_encode
-) -> Dict[str, Any]:
-    """JSON-ready representation of a vp-tree."""
-    payload: Dict[str, Any] = {
-        "version": FORMAT_VERSION,
-        "kind": "vptree",
-        "arity": tree.arity,
-        "vantage_selection": tree.vantage_selection,
-        "n_objects": len(tree),
-    }
-    if tree.root is not None:
-        payload["root"] = _encode_vpnode(tree.root, encode)
-    return payload
-
-
-def vptree_from_dict(
-    payload: Dict[str, Any],
-    metric: Metric,
-    decode: Decoder = _default_decode,
-) -> VPTree:
-    """Inverse of :func:`vptree_to_dict`."""
-    if payload.get("kind") != "vptree":
-        raise InvalidParameterError(
-            f"not a vp-tree payload: kind={payload.get('kind')!r}"
-        )
-    _require_version(payload, "vptree")
-    tree = VPTree(
-        metric,
-        arity=payload["arity"],
-        vantage_selection=payload["vantage_selection"],
-    )
-    if "root" in payload:
-        tree._root = _decode_vpnode(payload["root"], decode)
-        tree._n_objects = payload["n_objects"]
-    return tree
-
-
-def save_vptree(
-    tree: VPTree, path: PathLike, encode: Encoder = _default_encode
-) -> None:
-    """Atomically write a checksummed vp-tree artifact."""
-    _save_artifact(vptree_to_dict(tree, encode), path)
-
-
-def load_vptree(
-    path: PathLike,
-    metric: Metric,
-    decode: Decoder = _default_decode,
-    retry: Optional[RetryPolicy] = None,
-    strict: bool = False,
-) -> VPTree:
-    """Read a vp-tree artifact, verifying its checksums (``strict=True``
-    rejects legacy unchecksummed files)."""
-    return vptree_from_dict(
-        _load_artifact(path, retry, strict), metric, decode
-    )

@@ -12,7 +12,7 @@ machinery (see ``docs/robustness.md``):
 * :mod:`~repro.reliability.integrity` — CRC32-checksummed artifact
   envelopes with block-level corruption localisation;
 * :mod:`~repro.reliability.fsck` — structural (geometric) verification of
-  M-trees, vp-trees and page graphs, plus bulkload-based repair;
+  M-trees and page graphs, plus bulkload-based repair;
 * :mod:`~repro.reliability.scrub` — the online background
   :class:`Scrubber` verifying nodes incrementally while queries run;
 * :mod:`~repro.reliability.quarantine` — the :class:`QuarantineSet`
@@ -40,16 +40,12 @@ from .fsck import (
     ScrubUnit,
     StructuralFault,
     check_mtree_unit,
-    check_vptree_unit,
     fsck_ingest,
     fsck_mtree,
     fsck_page_graph,
-    fsck_vptree,
     materialize_page_graph,
     mtree_scrub_units,
     repair_mtree,
-    repair_vptree,
-    vptree_scrub_units,
 )
 from .integrity import (
     ArtifactReport,
@@ -92,15 +88,11 @@ __all__ = [
     "mtree_scrub_units",
     "check_mtree_unit",
     "fsck_mtree",
-    "vptree_scrub_units",
-    "check_vptree_unit",
-    "fsck_vptree",
     "materialize_page_graph",
     "fsck_page_graph",
     "fsck_ingest",
     "RepairOutcome",
     "repair_mtree",
-    "repair_vptree",
     "QuarantineSet",
     "Scrubber",
     "ScrubProgress",

@@ -421,50 +421,6 @@ class StructuralFaultInjector:
             "dropped_oid": entry.oid,
         }
 
-    # -- vp-tree -----------------------------------------------------------
-
-    def shrink_cutoff(self, tree: Any) -> dict:
-        """Shrink one vp-tree cutoff below its shell's true extent,
-        guaranteeing a ``cutoff_violation`` (or ``cutoffs_unsorted``)."""
-        candidates = []
-        stack = [tree.root] if tree.root is not None else []
-        while stack:
-            node = stack.pop()
-            previous_cut = 0.0
-            for pos, (cut, child) in enumerate(
-                zip(node.cutoffs, node.children)
-            ):
-                if child is not None:
-                    max_dist = 0.0
-                    sub = [child]
-                    while sub:
-                        current = sub.pop()
-                        max_dist = max(
-                            max_dist,
-                            tree.metric.distance(node.obj, current.obj),
-                        )
-                        sub.extend(
-                            c for c in current.children if c is not None
-                        )
-                    if max_dist > previous_cut:
-                        candidates.append((node, pos, previous_cut, max_dist))
-                    stack.append(child)
-                previous_cut = cut
-        if not candidates:
-            raise InvalidParameterError(
-                "no vp-tree cutoff with a positive shell extent to shrink"
-            )
-        node, pos, previous_cut, max_dist = self._rng.choice(candidates)
-        old = node.cutoffs[pos]
-        node.cutoffs[pos] = previous_cut + 0.5 * (max_dist - previous_cut)
-        return {
-            "kind": "cutoff_violation",
-            "node_id": id(node),
-            "position": pos,
-            "old_cutoff": old,
-            "new_cutoff": node.cutoffs[pos],
-        }
-
     # -- page graph --------------------------------------------------------
 
     def inject_orphan_page(self, store: Any) -> dict:
@@ -591,9 +547,9 @@ class ShardFaultInjector:
 
     Operates on anything shard-shaped — an object with a ``shard_id``,
     a ``chaos`` :class:`ShardChaos` switch, and (for ``corrupt``) a
-    ``tree`` attribute holding a vp-tree.  ``kill``/``slow`` flip the
+    ``tree`` attribute holding an M-tree.  ``kill``/``slow`` flip the
     chaos switch; ``corrupt`` delegates to
-    :class:`StructuralFaultInjector.shrink_cutoff` so the damage is
+    :class:`StructuralFaultInjector.shrink_radius` so the damage is
     *detectable by construction* (the shard's fsck must flag it).  Every
     method returns a record describing exactly what was injected, so
     chaos drills can assert detection and recovery against ground truth.
@@ -631,7 +587,7 @@ class ShardFaultInjector:
 
     def corrupt(self, shard: Any) -> dict:
         """Structurally damage the shard's index (fsck-detectable)."""
-        detail = self._structural.shrink_cutoff(shard.tree)
+        detail = self._structural.shrink_radius(shard.tree)
         return self._record(shard, "shard_corrupt", structural=detail)
 
     def heal(self, shard: Any) -> dict:

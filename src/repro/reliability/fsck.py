@@ -7,7 +7,7 @@ its subtree — and then range and k-NN pruning, which rest on exactly that
 invariant (Section 3 of the paper: ``d(Q, O_r) > r_Q + r(O_r)`` excludes
 the subtree), silently drops correct answers.  This module is the
 storage-engine answer: an offline/foreground **fsck** that walks an
-M-tree or vp-tree and verifies every geometric invariant, a typed
+M-tree and verifies every geometric invariant, a typed
 :class:`FsckReport` of the violations, a **page-graph** checker for
 orphaned and doubly-referenced pages, and a :func:`repair_mtree` path
 that rebuilds a damaged tree from its surviving objects via the bulk
@@ -27,10 +27,6 @@ Checked invariants (M-tree):
 * **accounting** — stored object count matches the tree's, no duplicate
   oids.
 
-The vp-tree variant checks the shell invariant (every descendant of
-child ``i`` at distance in ``(mu_{i-1}, mu_i]`` from the vantage point),
-sorted cutoffs, and the same shape/accounting rules.
-
 The per-node checks are factored as *units* (:func:`mtree_scrub_units` /
 :func:`check_mtree_unit`) so the online :class:`~repro.reliability.scrub.
 Scrubber` can verify one node at a time under a time budget while
@@ -40,6 +36,7 @@ checks, now".
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -58,15 +55,11 @@ __all__ = [
     "mtree_scrub_units",
     "check_mtree_unit",
     "fsck_mtree",
-    "vptree_scrub_units",
-    "check_vptree_unit",
-    "fsck_vptree",
     "materialize_page_graph",
     "fsck_page_graph",
     "fsck_ingest",
     "RepairOutcome",
     "repair_mtree",
-    "repair_vptree",
 ]
 
 #: Default relative/absolute tolerance for distance comparisons — floats
@@ -89,9 +82,6 @@ FAULT_KINDS = (
     "orphan_page",
     "dangling_page_ref",
     "unreadable_page",
-    "cutoff_violation",
-    "cutoffs_unsorted",
-    "cutoff_shape_mismatch",
     "wal_damage",
     "wal_gap",
     "snapshot_wal_discontinuity",
@@ -110,11 +100,11 @@ class StructuralFault:
 
     ``quarantine_node`` names the node whose subtree must be walled off
     to make queries safe again.  For violations of an *ancestor*
-    constraint (a shrunken covering radius, a shrunken vp cutoff) that
-    is not the witnessing node but the root of the subtree bounded by
-    the corrupt value: the damage makes the *ancestor's pruning test*
-    lie, so only skipping the whole bounded subtree — before the pruning
-    test runs — prevents silently short answers.  It never appears in
+    constraint (a shrunken covering radius) that is not the witnessing
+    node but the root of the subtree bounded by the corrupt value: the
+    damage makes the *ancestor's pruning test* lie, so only skipping the
+    whole bounded subtree — before the pruning test runs — prevents
+    silently short answers.  It never appears in
     ``to_dict`` (it is an in-memory object reference, not evidence).
     """
 
@@ -143,7 +133,7 @@ class StructuralFault:
 class FsckReport:
     """Outcome of one structural verification pass."""
 
-    tree_kind: str  # "mtree" | "vptree" | "page-graph"
+    tree_kind: str  # "mtree" | "page-graph" | "ingest"
     nodes_checked: int = 0
     objects_seen: int = 0
     faults: List[StructuralFault] = field(default_factory=list)
@@ -204,20 +194,18 @@ class ScrubUnit:
     """One node plus the ancestor context needed to verify it alone.
 
     ``ancestors`` holds ``(routing_obj, covering_radius)`` for every
-    routing entry on the root-to-node path (nearest last);
-    ``constraints`` is the vp-tree analogue: ``(vantage_obj, lower,
-    upper)`` shell bounds.  ``path`` holds, aligned index-for-index with
-    ``ancestors``/``constraints``, the subtree-root *node* each
-    constraint bounds — the quarantine target when that constraint turns
-    out to be corrupt.  Snapshot once, verify incrementally — the unit
-    is self-contained, so the scrubber never re-walks the path.
+    routing entry on the root-to-node path (nearest last).  ``path``
+    holds, aligned index-for-index with ``ancestors``, the subtree-root
+    *node* each covering radius bounds — the quarantine target when
+    that radius turns out to be corrupt.  Snapshot once, verify
+    incrementally — the unit is self-contained, so the scrubber never
+    re-walks the path.
     """
 
     node: Any
     where: str
     depth: int
     ancestors: Tuple[Tuple[Any, float], ...] = ()
-    constraints: Tuple[Tuple[Any, float, float], ...] = ()
     path: Tuple[Any, ...] = ()
     is_root: bool = False
 
@@ -404,8 +392,9 @@ def _mtree_global_faults(tree: Any, units: Sequence[ScrubUnit]):
     for unit in units:
         if unit.node.is_leaf:
             oids.extend(entry.oid for entry in unit.node.entries)
-    if len(set(oids)) != len(oids):
-        dupes = sorted({oid for oid in oids if oids.count(oid) > 1})
+    counts = Counter(oids)
+    if len(counts) != len(oids):
+        dupes = sorted(oid for oid, count in counts.items() if count > 1)
         faults.append(
             StructuralFault(
                 "duplicate_oid",
@@ -451,153 +440,6 @@ def fsck_mtree(
     reg = _obs.registry
     if reg is not None:
         reg.inc("reliability.fsck_runs", kind="mtree")
-    return report
-
-
-# ---------------------------------------------------------------------------
-# vp-tree
-# ---------------------------------------------------------------------------
-
-
-def vptree_scrub_units(tree: Any) -> List[ScrubUnit]:
-    """Every vp-tree node as a self-contained verification unit."""
-    units: List[ScrubUnit] = []
-    if tree.root is None:
-        return units
-    seen: set = set()
-
-    def walk(node, where, depth, constraints, path):
-        units.append(
-            ScrubUnit(
-                node=node,
-                where=where,
-                depth=depth,
-                constraints=tuple(constraints),
-                path=tuple(path),
-                is_root=node is tree.root,
-            )
-        )
-        seen.add(id(node))
-        previous_cut = 0.0
-        for pos, (cut, child) in enumerate(zip(node.cutoffs, node.children)):
-            if child is not None and id(child) not in seen:
-                walk(
-                    child,
-                    f"{where}/{pos}",
-                    depth + 1,
-                    constraints + [(node.obj, previous_cut, cut)],
-                    path + [child],
-                )
-            previous_cut = cut
-
-    walk(tree.root, "root", 1, [], [])
-    return units
-
-
-def check_vptree_unit(
-    tree: Any, unit: ScrubUnit, tolerance: float = DEFAULT_TOLERANCE
-) -> List[StructuralFault]:
-    """Verify one vp-tree node: shell membership + cutoff shape."""
-    node = unit.node
-    metric = tree.metric
-    faults: List[StructuralFault] = []
-    if len(node.cutoffs) != len(node.children):
-        faults.append(
-            StructuralFault(
-                "cutoff_shape_mismatch",
-                unit.where,
-                f"{len(node.cutoffs)} cutoffs for "
-                f"{len(node.children)} children",
-                node_id=id(node),
-            )
-        )
-    if node.cutoffs != sorted(node.cutoffs):
-        faults.append(
-            StructuralFault(
-                "cutoffs_unsorted",
-                unit.where,
-                f"cutoffs {node.cutoffs} are not non-decreasing",
-                node_id=id(node),
-            )
-        )
-    for level, (vantage_obj, lower, upper) in enumerate(unit.constraints):
-        dist = metric.distance(vantage_obj, node.obj)
-        if not (lower - tolerance <= dist <= upper + tolerance * (1 + upper)):
-            # As for M-tree radii: the corrupt cutoff lives in the
-            # ancestor, so the subtree it bounds is the quarantine unit.
-            faults.append(
-                StructuralFault(
-                    "cutoff_violation",
-                    unit.where,
-                    f"object {node.oid} at distance {dist:.6g} outside "
-                    f"its shell ({lower:.6g}, {upper:.6g}]",
-                    oid=node.oid,
-                    node_id=id(node),
-                    quarantine_node=(
-                        unit.path[level]
-                        if level < len(unit.path)
-                        else None
-                    ),
-                )
-            )
-            break
-    return faults
-
-
-def fsck_vptree(
-    tree: Any,
-    tolerance: float = DEFAULT_TOLERANCE,
-    deadline: Optional[Any] = None,
-) -> FsckReport:
-    """Full structural verification of a vp-tree."""
-    report = FsckReport(tree_kind="vptree")
-    units = vptree_scrub_units(tree)
-    for unit in units:
-        if deadline is not None:
-            deadline.check("vptree fsck")
-        report.faults.extend(check_vptree_unit(tree, unit, tolerance))
-        report.nodes_checked += 1
-    # One object per node; reference sweep mirrors the M-tree one.
-    ref_counts: Dict[int, int] = {}
-    for unit in units:
-        for child in unit.node.children:
-            if child is not None:
-                ref_counts[id(child)] = ref_counts.get(id(child), 0) + 1
-    for unit in units:
-        if ref_counts.get(id(unit.node), 0) > 1:
-            report.faults.append(
-                StructuralFault(
-                    "doubly_referenced_page",
-                    unit.where,
-                    f"node referenced by {ref_counts[id(unit.node)]} "
-                    "parents",
-                    node_id=id(unit.node),
-                )
-            )
-    oids = [unit.node.oid for unit in units]
-    if len(set(oids)) != len(oids):
-        dupes = sorted({oid for oid in oids if oids.count(oid) > 1})
-        report.faults.append(
-            StructuralFault(
-                "duplicate_oid",
-                "root",
-                f"oids stored more than once: {dupes[:10]}",
-            )
-        )
-    if len(oids) != len(tree):
-        report.faults.append(
-            StructuralFault(
-                "object_count_mismatch",
-                "root",
-                f"{len(oids)} objects stored but the tree claims "
-                f"{len(tree)}",
-            )
-        )
-    report.objects_seen = len(oids)
-    _mirror_faults(report.faults)
-    reg = _obs.registry
-    if reg is not None:
-        reg.inc("reliability.fsck_runs", kind="vptree")
     return report
 
 
@@ -814,83 +656,6 @@ def repair_mtree(
         reg.inc("reliability.repairs", ok=report.ok)
     return RepairOutcome(
         tree=new_tree,
-        n_recovered=len(oids),
-        n_lost=n_lost,
-        report=report,
-        generation=generation,
-    )
-
-
-def repair_vptree(
-    tree: Any,
-    seed: int = 0,
-    quarantine: Optional[Any] = None,
-    store: Optional[Any] = None,
-    artifact_name: str = "tree",
-    encode: Optional[Any] = None,
-) -> RepairOutcome:
-    """Rebuild a structurally damaged vp-tree from its surviving objects.
-
-    The vp-tree sibling of :func:`repair_mtree`, and the repair rung of
-    the cluster lifecycle ladder
-    (:class:`~repro.cluster.lifecycle.ClusterLifecycle`): structural
-    faults (shrunken cutoffs, unsorted cutoffs, aliased nodes) damage the
-    index, not the object payloads, so every node's object is harvested,
-    de-duplicated by oid, and rebuilt from scratch — cutoffs and shells
-    re-derived by construction.  With ``store`` the repaired tree is
-    committed as a new :class:`~repro.service.GenerationStore`
-    generation; a non-empty ``quarantine`` is cleared once the rebuilt
-    tree passes fsck.
-    """
-    from ..vptree.tree import VPTree
-
-    recovered: Dict[int, Any] = {}
-    stack = [tree.root] if tree.root is not None else []
-    visited: set = set()
-    while stack:
-        node = stack.pop()
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        if node.oid not in recovered:
-            recovered[node.oid] = node.obj
-        stack.extend(c for c in node.children if c is not None)
-    oids = sorted(recovered)
-    objects = [recovered[oid] for oid in oids]
-    n_lost = max(0, len(tree) - len(oids))
-    rebuilt = VPTree.build(
-        objects,
-        tree.metric,
-        arity=tree.arity,
-        vantage_selection=tree.vantage_selection,
-        seed=seed,
-    )
-    # VPTree.build assigns positional oids; remap to the recovered ones.
-    if oids != list(range(len(oids))):
-        remap = {pos: oid for pos, oid in enumerate(oids)}
-        nodes = [rebuilt.root] if rebuilt.root is not None else []
-        while nodes:
-            node = nodes.pop()
-            node.oid = remap[node.oid]
-            nodes.extend(c for c in node.children if c is not None)
-    report = fsck_vptree(rebuilt)
-    generation = None
-    if store is not None and report.ok:
-        from ..persistence import _default_encode, vptree_to_dict
-        from .integrity import dumps_artifact
-
-        text = dumps_artifact(
-            vptree_to_dict(rebuilt, encode or _default_encode)
-        )
-        store.save({artifact_name: text})
-        generation = store.generation
-    if quarantine is not None and report.ok:
-        quarantine.clear()
-    reg = _obs.registry
-    if reg is not None:
-        reg.inc("reliability.repairs", ok=report.ok)
-    return RepairOutcome(
-        tree=rebuilt,
         n_recovered=len(oids),
         n_lost=n_lost,
         report=report,

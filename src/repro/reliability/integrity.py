@@ -1,7 +1,7 @@
 """Checksummed artifact envelopes.
 
 Every artifact :mod:`repro.persistence` writes (histogram, N-MCM/L-MCM
-statistics, M-tree, vp-tree) is wrapped in an envelope carrying CRC32
+statistics, M-tree) is wrapped in an envelope carrying CRC32
 checksums of the exact serialised body bytes — one checksum per
 ``block_size`` block plus one over the whole body.  On load the blocks
 are re-verified, so a flipped bit is not just *detected* but *localised*:

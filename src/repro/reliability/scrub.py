@@ -38,9 +38,7 @@ from .fsck import (
     StructuralFault,
     _mtree_global_faults,
     check_mtree_unit,
-    check_vptree_unit,
     mtree_scrub_units,
-    vptree_scrub_units,
 )
 
 __all__ = ["ScrubProgress", "Scrubber"]
@@ -82,16 +80,14 @@ class ScrubProgress:
 
 
 class Scrubber:
-    """Incrementally verify an index's structural invariants.
+    """Incrementally verify an M-tree's structural invariants.
 
-    ``tree`` is an M-tree or vp-tree (detected by duck-typing on the
-    node shape).  ``rate_limit`` — a
-    :class:`~repro.service.TokenBucket` — paces verification so the
-    scrub never starves query threads of CPU; ``sleep`` is injectable
-    so tests can pace deterministically.  With ``auto_quarantine`` (the
-    default) every node that fails its unit check is added to
-    ``quarantine`` immediately, shrinking the blast radius of the damage
-    while the scrub is still running.
+    ``rate_limit`` — a :class:`~repro.service.TokenBucket` — paces
+    verification so the scrub never starves query threads of CPU;
+    ``sleep`` is injectable so tests can pace deterministically.  With
+    ``auto_quarantine`` (the default) every node that fails its unit
+    check is added to ``quarantine`` immediately, shrinking the blast
+    radius of the damage while the scrub is still running.
 
     ``on_fault`` is an optional escalation hook called (outside the
     scrubber's lock) with the list of faults each step surfaces — the
@@ -120,7 +116,6 @@ class Scrubber:
         self.on_fault = on_fault
         self._sleep = sleep
         self._lock = threading.Lock()
-        self._is_mtree = hasattr(tree, "layout")
         self._units: List[Any] = []
         self._cursor = 0
         self.progress = ScrubProgress()
@@ -134,10 +129,7 @@ class Scrubber:
         track mutations.
         """
         with self._lock:
-            if self._is_mtree:
-                self._units = mtree_scrub_units(self.tree)
-            else:
-                self._units = vptree_scrub_units(self.tree)
+            self._units = mtree_scrub_units(self.tree)
             self._cursor = 0
             self.progress.nodes_total = len(self._units)
             self.progress.nodes_scrubbed = 0
@@ -149,11 +141,6 @@ class Scrubber:
             reg.set_gauge(
                 "reliability.scrub_progress", self.progress.fraction
             )
-
-    def _check_unit(self, unit: Any) -> List[StructuralFault]:
-        if self._is_mtree:
-            return check_mtree_unit(self.tree, unit, self.tolerance)
-        return check_vptree_unit(self.tree, unit, self.tolerance)
 
     def step(self) -> List[StructuralFault]:
         """Verify the next node; returns the faults it surfaced.
@@ -167,16 +154,14 @@ class Scrubber:
                 self.progress.passes += 1
                 return []
             unit = self._units[self._cursor]
-            found = self._check_unit(unit)
+            found = check_mtree_unit(self.tree, unit, self.tolerance)
             self._cursor += 1
             self.progress.nodes_scrubbed += 1
-            end_of_pass = self._cursor >= len(self._units)
-            if end_of_pass and self._is_mtree:
+            if self._cursor >= len(self._units):
                 global_faults, _ = _mtree_global_faults(
                     self.tree, self._units
                 )
                 found = found + global_faults
-            if end_of_pass:
                 self._cursor = 0
                 self.progress.nodes_scrubbed = 0
                 self.progress.passes += 1
@@ -250,7 +235,7 @@ class Scrubber:
         :class:`~repro.reliability.FsckReport`."""
         with self._lock:
             return FsckReport(
-                tree_kind="mtree" if self._is_mtree else "vptree",
+                tree_kind="mtree",
                 nodes_checked=self.progress.passes
                 * self.progress.nodes_total
                 + self.progress.nodes_scrubbed,

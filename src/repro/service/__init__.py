@@ -41,7 +41,6 @@ from .service import (
     QueryRequest,
     QueryService,
     ServiceReport,
-    VPTreeBackend,
     percentile,
 )
 
@@ -61,7 +60,6 @@ __all__ = [
     "QueryOutcome",
     "ServiceReport",
     "MTreeBackend",
-    "VPTreeBackend",
     "OptimizerBackend",
     "QueryService",
     "percentile",

@@ -41,7 +41,6 @@ __all__ = [
     "QueryOutcome",
     "ServiceReport",
     "MTreeBackend",
-    "VPTreeBackend",
     "OptimizerBackend",
     "QueryService",
     "percentile",
@@ -306,56 +305,6 @@ class MTreeBackend:
             latency_s=time.perf_counter() - start,
             items=items,
             nodes=result.stats.nodes_accessed,
-            dists=result.stats.dists_computed,
-            completeness=completeness,
-            degraded=degraded,
-        )
-
-
-class VPTreeBackend:
-    """Executes requests against one vp-tree (main-memory).
-
-    ``quarantine`` makes the backend scrub-aware exactly like
-    :class:`MTreeBackend` (no fallback rung: vp-trees are the in-memory
-    tier).
-    """
-
-    name = "vptree"
-
-    def __init__(self, tree: Any, quarantine: Optional[Any] = None):
-        self.tree = tree
-        self.quarantine = quarantine
-
-    def execute(
-        self, request: QueryRequest, deadline: Optional[Any] = None
-    ) -> QueryOutcome:
-        start = time.perf_counter()
-        if request.kind == "range":
-            result = self.tree.range_query(
-                request.query,
-                request.radius,
-                deadline=deadline,
-                quarantine=self.quarantine,
-            )
-            items = result.items
-        else:
-            result = self.tree.knn_query(
-                request.query,
-                request.k,
-                deadline=deadline,
-                quarantine=self.quarantine,
-            )
-            items = list(result.neighbors)
-        completeness = getattr(result, "completeness", 1.0)
-        degraded = completeness < 1.0
-        if degraded and _obs.registry is not None:
-            _obs.registry.inc("service.degraded_queries", rung="quarantine")
-        return QueryOutcome(
-            request=request,
-            status="ok",
-            latency_s=time.perf_counter() - start,
-            items=items,
-            nodes=0,
             dists=result.stats.dists_computed,
             completeness=completeness,
             degraded=degraded,

@@ -1,7 +1,7 @@
 """Self-healing ladder: scrub promotion, repair, rebalance, fold, fencing.
 
 Each rung of the escalation ladder is exercised end-to-end: a structural
-fault injected into one shard's vp-tree must be *found* by the scrubber,
+fault injected into one shard's M-tree must be *found* by the scrubber,
 *promoted* into the router quarantine, *repaired* (with an epoch bump
 committed through the generation store), and — when repair is forbidden —
 escalated to a rebalance or folded into the honest linear-scan rung.
@@ -24,11 +24,15 @@ from repro.cluster import (
     save_cluster,
 )
 from repro.datasets import clustered_dataset
+from repro.reliability import StructuralFaultInjector
 from repro.service import QueryRequest
 
 N_OBJECTS = 90
 N_SHARDS = 3
 BAD_SHARD = 1
+#: Small enough that a 30-object shard's M-tree has an internal level
+#: whose covering radii can be corrupted.
+NODE_SIZE = 256
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +48,7 @@ def router(data):
         n_shards=N_SHARDS,
         d_plus=data.d_plus,
         seed=13,
+        node_size_bytes=NODE_SIZE,
     )
 
 
@@ -55,10 +60,10 @@ def registry():
 
 
 def corrupt_shard(router, shard_id=BAD_SHARD):
-    """Shrink a routing cutoff: the classic silent-pruning structural
+    """Shrink a covering radius: the classic silent-pruning structural
     fault — an ancestor's pruning test now lies about its subtree."""
-    root = router.membership.shards[shard_id].tree.root
-    root.cutoffs[0] *= 0.25
+    tree = router.membership.shards[shard_id].tree
+    StructuralFaultInjector(seed=13).shrink_radius(tree)
 
 
 def range_truth(data, query, radius):
@@ -121,6 +126,7 @@ class TestScrubPromotion:
             n_shards=N_SHARDS,
             d_plus=data.d_plus,
             seed=13,
+            node_size_bytes=NODE_SIZE,
             min_completeness=1.0,
         )
         lifecycle = ClusterLifecycle(router, data.d_plus)

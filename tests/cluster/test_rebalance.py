@@ -20,8 +20,13 @@ from repro.cluster import (
     save_cluster,
 )
 from repro.datasets import clustered_dataset
-from repro.exceptions import InvalidParameterError, StaleEpochError
-from repro.service import QueryRequest
+from repro.exceptions import (
+    CorruptedDataError,
+    InvalidParameterError,
+    StaleEpochError,
+)
+from repro.reliability import dumps_artifact
+from repro.service import GenerationStore, QueryRequest
 from repro.service.recovery import SimulatedCrashError
 
 N_OBJECTS = 90
@@ -87,6 +92,47 @@ class TestSaveLoad:
 
     def test_load_on_empty_directory_fails_loudly(self, data, tmp_path):
         with pytest.raises(InvalidParameterError):
+            load_cluster(tmp_path, data.metric)
+
+    def test_v1_vptree_generation_is_refused_with_a_typed_error(
+        self, data, tmp_path
+    ):
+        """A generation written when shards served vp-trees (membership
+        format v1, ``kind: "vptree"`` shard artifacts) must be refused
+        by the membership format check, before any shard is decoded."""
+        vec = {"t": "vec", "v": [0.0, 0.0, 0.0]}
+        membership = {
+            "format": "metricost-rebalance-v1",
+            "kind": "cluster-membership",
+            "epoch": 0,
+            "n_shards": 1,
+            "d_plus": float(data.d_plus),
+            "seed": 7,
+            "arity": 4,
+            "shards": [
+                {
+                    "shard_id": 0,
+                    "oids": [0],
+                    "pivot": vec,
+                    "pivot_distances": [0.0],
+                }
+            ],
+        }
+        shard = {
+            "version": 1,
+            "kind": "vptree",
+            "arity": 4,
+            "vantage_selection": "spread",
+            "n_objects": 1,
+            "root": {"obj": vec, "oid": 0, "cutoffs": [], "children": []},
+        }
+        GenerationStore(tmp_path).save(
+            {
+                "membership": dumps_artifact(membership),
+                "shard-0": dumps_artifact(shard),
+            }
+        )
+        with pytest.raises(CorruptedDataError, match="rebalance-v1"):
             load_cluster(tmp_path, data.metric)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,15 @@ from repro.cluster import Router, Shard, ShardStats, build_cluster
 from repro.context import Deadline
 from repro.datasets import clustered_dataset
 from repro.exceptions import InvalidParameterError
-from repro.reliability import ShardFaultInjector
+from repro.reliability import ShardFaultInjector, repair_mtree
 from repro.service import QueryRequest
 
 N_OBJECTS = 200
 N_SHARDS = 4
+#: Shard node sizes the ground-truth tests run at: the paper's 4 KB node
+#: (every ~50-object shard is one leaf) and a node small enough that
+#: every shard's M-tree has internal levels to traverse and prune.
+NODE_SIZES = (4096, 128)
 
 
 @pytest.fixture(scope="module")
@@ -21,8 +27,7 @@ def data():
     return clustered_dataset(N_OBJECTS, 3, seed=41)
 
 
-@pytest.fixture()
-def router(data):
+def make_router(data, node_size_bytes=4096):
     return build_cluster(
         list(data.points),
         data.metric,
@@ -31,7 +36,21 @@ def router(data):
         seed=41,
         hedge_delay_s=0.05,
         shard_timeout_s=1.0,
+        node_size_bytes=node_size_bytes,
     )
+
+
+@pytest.fixture()
+def router(data):
+    return make_router(data)
+
+
+@pytest.fixture(scope="module")
+def routers(data):
+    """One router per entry of :data:`NODE_SIZES`."""
+    routers = [make_router(data, size) for size in NODE_SIZES]
+    assert routers[-1].shards[0].tree.height > 1
+    return routers
 
 
 def range_truth(data, query, radius):
@@ -50,8 +69,10 @@ def queries(data, n, seed=5):
     return [rng.normal(size=3) for _ in range(n)]
 
 
-def test_healthy_range_matches_ground_truth(router, data):
-    for i, query in enumerate(queries(data, 15)):
+def test_healthy_range_matches_ground_truth(routers, data):
+    for router, (i, query) in itertools.product(
+        routers, enumerate(queries(data, 15))
+    ):
         radius = 0.1 * (1 + i % 4) * data.d_plus
         outcome = router.execute(
             QueryRequest("range", query, radius=radius, request_id=i)
@@ -73,8 +94,10 @@ def test_healthy_range_matches_ground_truth(router, data):
         ) == N_SHARDS
 
 
-def test_healthy_knn_matches_ground_truth(router, data):
-    for i, query in enumerate(queries(data, 15, seed=6)):
+def test_healthy_knn_matches_ground_truth(routers, data):
+    for router, (i, query) in itertools.product(
+        routers, enumerate(queries(data, 15, seed=6))
+    ):
         k = 1 + (i % 10)
         outcome = router.execute(QueryRequest("knn", query, k=k))
         assert outcome.ok
@@ -96,9 +119,11 @@ def test_healthy_knn_matches_ground_truth(router, data):
         assert len({oid for oid, _ in got}) == k
 
 
-def test_pruning_fires_and_never_drops_matches(router, data):
+def test_pruning_fires_and_never_drops_matches(routers, data):
     pruned_total = 0
-    for query in queries(data, 20, seed=7):
+    for router, query in itertools.product(
+        routers, queries(data, 20, seed=7)
+    ):
         radius = 0.08 * data.d_plus
         outcome = router.execute(QueryRequest("range", query, radius=radius))
         assert outcome.ok
@@ -117,18 +142,22 @@ def test_pruning_fires_and_never_drops_matches(router, data):
 
 def test_prune_toggle_answers_identically(data):
     objects = list(data.points)
-    kwargs = dict(
-        n_shards=N_SHARDS, d_plus=data.d_plus, seed=41, hedging=False
-    )
-    pruning = build_cluster(objects, data.metric, prune=True, **kwargs)
-    exhaustive = build_cluster(objects, data.metric, prune=False, **kwargs)
-    for query in queries(data, 8, seed=8):
-        request = QueryRequest("range", query, radius=0.1 * data.d_plus)
-        a = pruning.execute(request)
-        b = exhaustive.execute(request)
-        assert a.ok and b.ok
-        assert {o for o, _, _ in a.items} == {o for o, _, _ in b.items}
-        assert b.shards_pruned == 0
+    for node_size_bytes in NODE_SIZES:
+        kwargs = dict(
+            n_shards=N_SHARDS, d_plus=data.d_plus, seed=41, hedging=False,
+            node_size_bytes=node_size_bytes,
+        )
+        pruning = build_cluster(objects, data.metric, prune=True, **kwargs)
+        exhaustive = build_cluster(
+            objects, data.metric, prune=False, **kwargs
+        )
+        for query in queries(data, 8, seed=8):
+            request = QueryRequest("range", query, radius=0.1 * data.d_plus)
+            a = pruning.execute(request)
+            b = exhaustive.execute(request)
+            assert a.ok and b.ok
+            assert {o for o, _, _ in a.items} == {o for o, _, _ in b.items}
+            assert b.shards_pruned == 0
 
 
 def test_dead_shard_yields_honest_partial_answers(router, data):
@@ -165,6 +194,39 @@ def test_dead_shard_yields_honest_partial_answers(router, data):
         QueryRequest("knn", queries(data, 1, seed=10)[0], k=5)
     )
     assert outcome.ok and outcome.completeness == 1.0
+
+
+def test_corrupt_shard_is_quarantined_by_fsck_and_readmitted(data):
+    router = make_router(data, node_size_bytes=NODE_SIZES[-1])
+    victim = router.shards[2]
+    record = ShardFaultInjector(seed=2).corrupt(victim)
+    assert record["structural"]["kind"] == "radius_violation"
+    (finding,) = router.health_check()
+    assert finding["shard_id"] == victim.shard_id
+    assert finding["reason"] == "fsck"
+    assert "radius_violation" in finding["fault_kinds"]
+    reachable = {
+        oid for shard in router.shards if shard is not victim
+        for oid in shard.oids
+    }
+    for query in queries(data, 6, seed=15):
+        radius = 0.3 * data.d_plus
+        outcome = router.execute(QueryRequest("range", query, radius=radius))
+        assert outcome.ok
+        report = outcome.shard_reports[victim.shard_id]
+        assert report.status in ("quarantined", "pruned")
+        got = {oid for oid, _obj, _d in outcome.items}
+        assert got == range_truth(data, query, radius) & reachable
+    # Still damaged: recheck keeps it out.  Rebuilt: recheck readmits.
+    assert router.recheck() == []
+    victim.replace_tree(repair_mtree(victim.tree).tree)
+    assert router.recheck() == [victim.shard_id]
+    for query in queries(data, 6, seed=15):
+        radius = 0.3 * data.d_plus
+        outcome = router.execute(QueryRequest("range", query, radius=radius))
+        assert outcome.ok and outcome.completeness == 1.0
+        got = {oid for oid, _obj, _d in outcome.items}
+        assert got == range_truth(data, query, radius)
 
 
 def test_object_weighted_completeness_pinned_at_three_quarters(data):

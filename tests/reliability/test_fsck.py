@@ -21,16 +21,13 @@ from repro.reliability import (
     StructuralFaultInjector,
     fsck_mtree,
     fsck_page_graph,
-    fsck_vptree,
     loads_artifact,
     materialize_page_graph,
     mtree_scrub_units,
     repair_mtree,
-    vptree_scrub_units,
 )
 from repro.service import GenerationStore
 from repro.storage import PageStore
-from repro.vptree import VPTree
 
 CORPUS_SEEDS = (0, 1, 2, 3, 4)
 MTREE_INJECTIONS = (
@@ -43,12 +40,6 @@ MTREE_INJECTIONS = (
 def make_mtree(size=300, dim=3, seed=0):
     data = clustered_dataset(size=size, dim=dim, seed=seed)
     tree = bulk_load(data.points, data.metric, vector_layout(dim), seed=seed)
-    return data, tree
-
-
-def make_vptree(size=300, dim=3, seed=0):
-    data = clustered_dataset(size=size, dim=dim, seed=seed)
-    tree = VPTree.build(list(data.points), data.metric, arity=3, seed=seed)
     return data, tree
 
 
@@ -67,15 +58,6 @@ def test_clean_mtree_passes(seed):
     assert report.nodes_checked == len(mtree_scrub_units(tree))
     assert report.objects_seen == len(tree)
     report.raise_if_bad()  # no-op when clean
-
-
-@pytest.mark.parametrize("seed", CORPUS_SEEDS)
-def test_clean_vptree_passes(seed):
-    _, tree = make_vptree(seed=seed)
-    report = fsck_vptree(tree)
-    assert report.ok
-    assert report.nodes_checked == len(vptree_scrub_units(tree))
-    assert report.objects_seen == len(tree)
 
 
 def test_fsck_after_dynamic_inserts():
@@ -102,14 +84,15 @@ def test_mtree_injection_detected(seed, method, expected):
     assert expected in report.kinds()
 
 
-@pytest.mark.parametrize("seed", CORPUS_SEEDS)
-def test_vptree_injection_detected(seed):
-    _, tree = make_vptree(seed=seed)
-    record = StructuralFaultInjector(seed=seed).shrink_cutoff(tree)
-    assert record["kind"] == "cutoff_violation"
-    report = fsck_vptree(tree)
-    assert not report.ok
-    assert "cutoff_violation" in report.kinds()
+def test_duplicate_oid_reported_by_name():
+    _, tree = make_mtree()
+    leaf = next(n for n in tree.iter_nodes() if n.is_leaf)
+    first, second = leaf.entries[0], leaf.entries[1]
+    second.oid = first.oid
+    report = fsck_mtree(tree)
+    assert report.kinds() == ["duplicate_oid"]
+    (fault,) = report.faults
+    assert f"[{first.oid}]" in fault.detail
 
 
 def test_report_raise_if_bad_carries_faults():

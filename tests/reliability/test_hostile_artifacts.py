@@ -27,17 +27,13 @@ from repro.persistence import (
     load_histogram,
     load_mtree,
     load_stats,
-    load_vptree,
     mtree_to_dict,
     save_histogram,
     save_mtree,
     save_stats,
-    save_vptree,
     stats_to_dict,
-    vptree_to_dict,
 )
 from repro.reliability.doctor import flip_body_bit
-from repro.vptree import VPTree
 
 
 def _sample_tree():
@@ -45,11 +41,6 @@ def _sample_tree():
     points = rng.random((60, 3))
     layout = NodeLayout(node_size_bytes=256, object_bytes=12)
     return bulk_load(points, L2(), layout, seed=1)
-
-
-def _sample_vptree():
-    rng = np.random.default_rng(2)
-    return VPTree.build(list(rng.random((60, 3))), L2(), arity=2, seed=3)
 
 
 # (name, save(path), load(path), payload_dict()) per artifact kind.
@@ -77,12 +68,6 @@ ARTIFACTS = [
         lambda path: save_mtree(_sample_tree(), path),
         lambda path: load_mtree(path, L2()),
         lambda: mtree_to_dict(_sample_tree()),
-    ),
-    (
-        "vptree",
-        lambda path: save_vptree(_sample_vptree(), path),
-        lambda path: load_vptree(path, L2()),
-        lambda: vptree_to_dict(_sample_vptree()),
     ),
 ]
 

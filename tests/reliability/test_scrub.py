@@ -16,7 +16,6 @@ from repro.reliability import (
     mtree_scrub_units,
 )
 from repro.service import TokenBucket
-from repro.vptree import VPTree
 
 
 @pytest.fixture(autouse=True)
@@ -180,21 +179,6 @@ def test_reset_after_mutation():
     progress = scrubber.run(passes=1)
     assert progress.nodes_total == len(mtree_scrub_units(tree))
     assert scrubber.report().ok
-
-
-def test_scrubs_vptrees_too():
-    data = clustered_dataset(size=250, dim=3, seed=5)
-    tree = VPTree.build(list(data.points), data.metric, arity=3, seed=5)
-    quarantine = QuarantineSet()
-    scrubber = Scrubber(tree, quarantine=quarantine)
-    assert scrubber.run(passes=1).complete
-    assert scrubber.report().ok
-    StructuralFaultInjector(seed=5).shrink_cutoff(tree)
-    scrubber.reset()
-    scrubber.run(passes=1)
-    report = scrubber.report()
-    assert "cutoff_violation" in report.kinds()
-    assert len(quarantine) >= 1
 
 
 def test_scrub_metrics_mirrored():

@@ -33,9 +33,7 @@ from repro.service import (
     MTreeBackend,
     QueryRequest,
     QueryService,
-    VPTreeBackend,
 )
-from repro.vptree import VPTree
 from repro.workloads import LinearScanBaseline
 
 DIM = 3
@@ -182,29 +180,6 @@ def test_quarantined_tree_flags_every_affected_answer():
     # The damage is real: some queries must actually have been affected.
     assert n_degraded > 0
     assert report.degraded and len(report.degraded) == n_degraded
-
-
-def test_vptree_backend_flags_degraded_answers():
-    data = clustered_dataset(size=500, dim=DIM, seed=41)
-    tree = VPTree.build(list(data.points), data.metric, arity=3, seed=41)
-    StructuralFaultInjector(seed=41).shrink_cutoff(tree)
-    quarantine = QuarantineSet()
-    Scrubber(tree, quarantine=quarantine).run(passes=1)
-    assert len(quarantine) >= 1
-    backend = VPTreeBackend(tree, quarantine=quarantine)
-    rng = np.random.default_rng(42)
-    outcomes = [
-        backend.execute(
-            QueryRequest(
-                "range", rng.random(DIM), radius=0.4 * data.d_plus
-            )
-        )
-        for _ in range(40)
-    ]
-    degraded = [o for o in outcomes if o.degraded]
-    assert degraded
-    for outcome in degraded:
-        assert outcome.completeness < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from repro.service import (
     QueryService,
     ServiceReport,
     TokenBucket,
-    VPTreeBackend,
     percentile,
 )
 from repro.storage import PageStore
@@ -253,19 +252,6 @@ class TestRun:
 
 
 class TestOtherBackends:
-    def test_vptree_backend(self, small_uniform):
-        from repro.vptree import VPTree
-
-        tree = VPTree.build(
-            list(small_uniform.points), small_uniform.metric, seed=2
-        )
-        service = QueryService(VPTreeBackend(tree))
-        outcome = service.submit(
-            QueryRequest("range", small_uniform.points[0], radius=0.3)
-        )
-        assert outcome.ok
-        assert outcome.dists > 0
-
     def test_optimizer_backend(self, served_tree):
         data, tree = served_tree
         from repro.core import (

@@ -171,7 +171,7 @@ class TestSelfHealingCli:
         assert main(["fsck", "--json", "--size", "220"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["healthy"] is True
-        assert len(payload["cases"]) == 7
+        assert len(payload["cases"]) == 6
         for case in payload["cases"]:
             assert case["ok"], case
             assert case["detected"]
@@ -200,9 +200,6 @@ class TestSelfHealingCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
         assert payload["tree_kind"] == "mtree"
-
-    def test_fsck_rejects_both_tree_kinds(self, capsys):
-        assert main(["fsck", "--mtree", "a.json", "--vptree", "b.json"]) == 2
 
     def test_scrub_clean_tree_exits_zero(self, capsys):
         assert main(["scrub", "--json", "--size", "300"]) == 0

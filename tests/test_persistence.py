@@ -22,18 +22,13 @@ from repro.persistence import (
     histogram_to_dict,
     load_histogram,
     load_mtree,
-    load_vptree,
     mtree_from_dict,
     mtree_to_dict,
     save_histogram,
     save_mtree,
-    save_vptree,
     stats_from_dict,
     stats_to_dict,
-    vptree_from_dict,
-    vptree_to_dict,
 )
-from repro.vptree import VPTree
 
 
 class TestHistogramRoundTrip:
@@ -156,31 +151,6 @@ class TestMTreeRoundTrip:
     def test_wrong_kind_rejected(self):
         with pytest.raises(InvalidParameterError):
             mtree_from_dict({"kind": "vptree"}, L2())
-
-
-class TestVPTreeRoundTrip:
-    def test_structure_and_queries(self, tmp_path):
-        rng = np.random.default_rng(5)
-        points = rng.random((200, 3))
-        tree = VPTree.build(list(points), L2(), arity=3, seed=6)
-        path = tmp_path / "vptree.json"
-        save_vptree(tree, path)
-        clone = load_vptree(path, L2())
-        clone.validate()
-        assert clone.n_nodes() == tree.n_nodes()
-        query = rng.random(3)
-        assert sorted(clone.range_query(query, 0.3).oids()) == sorted(
-            tree.range_query(query, 0.3).oids()
-        )
-
-    def test_empty_roundtrip(self):
-        tree = VPTree.build([], L2())
-        clone = vptree_from_dict(vptree_to_dict(tree), L2())
-        assert len(clone) == 0
-
-    def test_wrong_kind_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            vptree_from_dict({"kind": "mtree"}, L2())
 
 
 class TestCustomCodec:
